@@ -273,9 +273,7 @@ def percentile_with_tail(values: list[float], tail: int = 10) -> float:
     """The highest nearest-rank percentile with ``tail`` samples beyond it.
 
     With fewer than ``tail + 1`` samples no such percentile exists and
-    the median is returned: the samples are then repeats of one
-    deterministic run (an SCF workload's), so their spread is the
-    host's noise, which the median filters and the maximum does not.
+    the median is returned.
     """
     ordered = sorted(values)
     if not ordered:

@@ -21,10 +21,19 @@ import hashlib
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+#: One BLAS thread, set before numpy loads.  The SCF workloads run one
+#: repetition per CPU at a time (see ``workloads.run_scf``), and a BLAS
+#: call that spreads over both CPUs waits for the slower of them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ[_var] = "1"
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
@@ -71,12 +80,10 @@ def environment(seed: int) -> dict:
     import scipy
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    threads = {k: os.environ.get(k) for k in
-               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    threads = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
     return {
         "cpu_count": os.cpu_count(),
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        # Unset means OpenBLAS's default: one thread per CPU.
         "blas_threads": threads,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -115,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    # A stop request unwinds like an error, so the ``finally`` blocks
+    # stop the SCF processes and the daemons this run started.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     if not (SRC / "repro" / "__init__.py").is_file():
         print(f"error: no program sources at {SRC}; run from the root of "
@@ -144,11 +154,14 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="run-", dir=OUT) as tmp:
         work_dir = Path(os.path.relpath(tmp))
         spill = work_dir / "spill"
+        # Reference energies are kept for the next run of the same code.
+        refs = OUT / f"refs-{source_digest()}.json"
         if args.workload == "batch_service":
-            outcome = workloads.run_batch(args.seed, trace, work_dir, spill)
+            outcome = workloads.run_batch(args.seed, trace, work_dir, spill,
+                                          refs)
         else:
             outcome = workloads.run_scf(args.workload, args.seed,
-                                        args.seconds, trace, spill)
+                                        args.seconds, trace, spill, refs)
 
     inputs_text = (inputs.batch_manifest(args.seed)
                    if args.workload == "batch_service"

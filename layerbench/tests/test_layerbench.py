@@ -100,6 +100,45 @@ def test_wrappers_record_and_restore(tmp_path):
     assert index.self_time(schwarz) < schwarz.end - schwarz.start
 
 
+def test_remembered_computes_once_per_key(tmp_path):
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return -1.5
+
+    path = tmp_path / "refs.json"
+    assert workloads.remembered(path, "a", compute) == -1.5
+    assert workloads.remembered(path, "a", compute) == -1.5
+    assert len(calls) == 1
+    workloads.remembered(path, "b", compute)
+    workloads.remembered(None, "a", compute)
+    assert len(calls) == 3
+
+
+def test_scf_repetitions_run_in_pinned_processes_that_end():
+    import multiprocessing as mp
+    import os
+
+    from repro.chem.molecule import water
+
+    case = inputs.ScfCase(atoms_per_layer=0, basis="sto-3g",
+                          eri_cache_mb=None)
+    results, problems = workloads._scf_repetitions(water().to_xyz(), case,
+                                                   seconds=0.0)
+    assert problems == []
+    assert len(results) == min(workloads.SCF_PROCESSES,
+                               len(os.sched_getaffinity(0)))
+    energies = set()
+    for reps, setups, peak in results:
+        assert len(reps) >= workloads.MIN_REPS
+        assert len(setups) == 1 + len(reps)
+        assert peak > 0
+        energies |= {round(r["energy"], 10) for r in reps}
+    assert energies == {-74.942079954}
+    assert mp.active_children() == []
+
+
 def test_percentile_with_tail():
     values = [float(v) for v in range(1, 101)]
     assert layers.percentile_with_tail(values) == 90.0
